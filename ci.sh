@@ -9,6 +9,11 @@ set -eux
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The repository benchmark is a package of its own (perfbench/, not a
+# workspace member): run its workload and outcome tests too, the
+# ignored ones included, so a change that breaks what the benchmark
+# drives fails here rather than in the benchmark run.
+cargo test --release --manifest-path perfbench/Cargo.toml -- --include-ignored
 cargo clippy --workspace --all-targets -- -D warnings
 # Workspace invariant checker: determinism, simtime charging, errno
 # vocabulary, magic literals, wake-poke dataflow, snapshot coverage,
@@ -38,7 +43,7 @@ cargo run -q -p simlint --release -- --coupling-report | diff - simlint.coupling
 # through World::cross_call instead; if you remove one, lower the pin
 # to lock in the progress.
 seam_rows=$(grep '"file"' simlint.coupling.json | grep -vc 'src/world/')
-seam_pin=13
+seam_pin=12
 if [ "$seam_rows" -gt "$seam_pin" ]; then
     echo "coupling ratchet: $seam_rows handler-side seam rows exceed the pin of $seam_pin — route the new cross-machine effect through the seam layer" >&2
     exit 1

@@ -24,7 +24,8 @@ pub fn migrate_via_daemon(sys: &Sys, pid: Pid, from_host: &str, to_host: &str) -
 }
 
 /// World-level wrapper: runs [`migrate_via_daemon`] as a process on the
-/// destination machine and returns the restored pid there.
+/// destination machine and returns the pid of the copy it restored
+/// there.
 pub fn migrate_via_daemon_scripted(
     world: &mut World,
     victim: Pid,
@@ -34,6 +35,7 @@ pub fn migrate_via_daemon_scripted(
 ) -> Result<Pid, pmig::MigrationError> {
     let from_name = world.machine(from).name.clone();
     let to_name = world.machine(to).name.clone();
+    let floor = world.machine(to).next_pid();
     let cmd = world.spawn_native_proc(
         to,
         "migrated",
@@ -52,5 +54,6 @@ pub fn migrate_via_daemon_scripted(
     if info.status != 0 {
         return Err(pmig::MigrationError::Failed(info.status));
     }
-    pmig::find_restarted(world, to, victim).ok_or(pmig::MigrationError::NotRestarted)
+    pmig::api::find_restarted_since(world, to, victim, floor)
+        .ok_or(pmig::MigrationError::NotRestarted)
 }

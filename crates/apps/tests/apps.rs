@@ -287,3 +287,28 @@ fn nightbatch_spreads_jobs_at_night() {
         );
     }
 }
+
+#[test]
+fn daemon_migrations_of_one_pid_from_two_hosts_return_their_own_copies() {
+    let mut w = World::new(KernelConfig::paper());
+    let a = w.add_machine("a", IsaLevel::Isa1);
+    let b = w.add_machine("b", IsaLevel::Isa1);
+    let c = w.add_machine("c", IsaLevel::Isa1);
+    let obj = assemble(&workloads::dirty_hog_program(1_500, 4 * 0x2000)).unwrap();
+    for m in [a, b] {
+        w.install_program(m, "/bin/hog", &obj).unwrap();
+        assert_eq!(
+            w.spawn_vm_proc(m, "/bin/hog", None, alice()).unwrap(),
+            Pid(2)
+        );
+    }
+    w.run_slices(10);
+    let first =
+        apps::migrated::migrate_via_daemon_scripted(&mut w, Pid(2), a, c, alice()).expect("first");
+    let second =
+        apps::migrated::migrate_via_daemon_scripted(&mut w, Pid(2), b, c, alice()).expect("second");
+    assert_ne!(first, second, "the second call must return its own copy");
+    for pid in [first, second] {
+        assert_eq!(w.proc_ref(c, pid).expect("live on c").comm, "a.out00002");
+    }
+}

@@ -32,16 +32,36 @@ impl std::error::Error for MigrationError {}
 /// Finds the restarted incarnation of `orig_pid` on machine `mid`: the
 /// process whose command is the dumped image name `a.outXXXXX`.
 pub fn find_restarted(world: &World, mid: MachineId, orig_pid: Pid) -> Option<Pid> {
+    find_restarted_since(world, mid, orig_pid, 0)
+}
+
+/// [`find_restarted`] among the processes created on `mid` at or after
+/// pid `floor`. Pids only grow, so with `floor` read from
+/// [`ukernel::Machine::next_pid`] before a migration this names the
+/// copy that migration made, even when another host's job with the
+/// same pid was restarted onto `mid` earlier: a live copy if there is
+/// one, else the overlay record of one that already finished.
+pub fn find_restarted_since(
+    world: &World,
+    mid: MachineId,
+    orig_pid: Pid,
+    floor: u32,
+) -> Option<Pid> {
     let wanted = format!("a.out{:05}", orig_pid.as_u32());
-    if let Some(p) = world.machine(mid).procs.values().find(|p| p.comm == wanted) {
+    let procs = &world.machine(mid).procs;
+    if let Some(p) = procs
+        .range(floor..)
+        .map(|(_, p)| p)
+        .find(|p| p.comm == wanted)
+    {
         return Some(p.pid);
     }
     // The restored process may already have run to completion; the
     // overlay record still names it.
     world
         .overlaid
-        .iter()
-        .find(|(&(m, _), comm)| m == mid && **comm == wanted)
+        .range((mid, floor)..=(mid, u32::MAX))
+        .find(|(_, comm)| **comm == wanted)
         .map(|(&(_, pid), _)| Pid(pid))
 }
 
@@ -80,7 +100,6 @@ pub fn run_restart(
     tty: Option<u32>,
     cred: Credentials,
 ) -> Result<Pid, MigrationError> {
-    let orig = args.pid;
     let cmd = world.spawn_native_proc(
         mid,
         "restart",
@@ -88,28 +107,33 @@ pub fn run_restart(
         cred,
         Box::new(move |sys| restart(sys, &args).as_u16() as u32),
     );
-    // Run until the command either exits (failure) or its process has
-    // become the restored image (success).
-    for _ in 0..2_000_000u32 {
-        if let Some(info) = world.finished.get(&(mid, cmd.as_u32())) {
-            return Err(MigrationError::Failed(info.status));
+    // Run until the command's own process has either become the
+    // restored image (success) or exited (failure).
+    let key = (mid, cmd.as_u32());
+    let outcome = |world: &World| {
+        if world.overlaid.contains_key(&key) {
+            Some(Ok(cmd))
+        } else {
+            world
+                .finished
+                .get(&key)
+                .map(|info| Err(MigrationError::Failed(info.status)))
         }
-        if find_restarted(world, mid, orig) == Some(cmd) {
-            return Ok(cmd);
+    };
+    for _ in 0..2_000_000u32 {
+        if let Some(result) = outcome(world) {
+            return result;
         }
         if world.run_slices(1) == ukernel::RunOutcome::Idle {
             break;
         }
     }
-    match find_restarted(world, mid, orig) {
-        Some(pid) => Ok(pid),
-        None => Err(MigrationError::NotRestarted),
-    }
+    outcome(world).unwrap_or(Err(MigrationError::NotRestarted))
 }
 
 /// Scripts a whole migration with the `migrate` command issued from
 /// `cmd_machine`: dump on `from`, restart on `to`, then locate the
-/// restored process.
+/// restored process this call made.
 ///
 /// Returns the new pid on the target machine.
 pub fn migrate_process(
@@ -123,6 +147,7 @@ pub fn migrate_process(
 ) -> Result<Pid, MigrationError> {
     let from_name = world.machine(from).name.clone();
     let to_name = world.machine(to).name.clone();
+    let floor = world.machine(to).next_pid();
     let cmd = world.spawn_native_proc(
         cmd_machine,
         "migrate",
@@ -141,7 +166,7 @@ pub fn migrate_process(
     if info.status != 0 {
         return Err(MigrationError::Failed(info.status));
     }
-    find_restarted(world, to, victim).ok_or(MigrationError::NotRestarted)
+    find_restarted_since(world, to, victim, floor).ok_or(MigrationError::NotRestarted)
 }
 
 /// Convenience: the errno a command exit status encodes, if any (these

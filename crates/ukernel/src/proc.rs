@@ -4,7 +4,7 @@ use m68vm::{Cpu, IsaLevel, Memory};
 use simtime::{SimDuration, SimTime};
 use sysdefs::{Pid, Uid};
 
-use crate::native::NativeChan;
+use crate::native::Native;
 use crate::sys::args::Syscall;
 use crate::user::UserArea;
 
@@ -73,9 +73,10 @@ impl ProcState {
 pub enum Body {
     /// A guest program interpreted by the VM.
     Vm(VmBody),
-    /// A native utility on its own OS thread, speaking syscalls over
-    /// rendezvous channels.
-    Native(NativeChan),
+    /// A native utility: a coroutine the kernel resumes on its own
+    /// thread, suspended at its pending request. Dropping it unwinds the
+    /// program from that request.
+    Native(Native),
     /// `init` and other placeholder processes that never run.
     Idle,
 }

@@ -16,7 +16,7 @@ use vfs::{path as vpath, DeviceId, Filesystem, WalkOutcome};
 use crate::config::{Exec, KernelConfig, Sched};
 use crate::file::{FileKind, FileStruct};
 use crate::machine::{Machine, MachineId};
-use crate::native::{spawn_native, NativeProgram, Request, Response};
+use crate::native::{Native, NativeProgram, Request, Response};
 use crate::proc::{Body, ExitInfo, Proc, ProcState};
 use crate::signal::deliver_pending;
 use crate::sys::args::{SysRetval, Syscall, SyscallResult};
@@ -806,8 +806,7 @@ impl World {
     ) -> Pid {
         let mut user = self.fresh_user(mid, cred, tty);
         self.attach_stdio(mid, &mut user, tty);
-        let chan = spawn_native(prog);
-        self.insert_proc(mid, Body::Native(chan), user, Pid::INIT, comm)
+        self.insert_proc(mid, Body::Native(Native::new(prog)), user, Pid::INIT, comm)
     }
 
     /// Spawns a VM program from an executable file on `mid`'s namespace.
@@ -868,8 +867,8 @@ impl World {
             let now = m.now;
             let p = m.proc_mut(pid).expect("exiting process exists");
             p.state = ProcState::Zombie { status };
-            // Dropping the body releases VM memory or unblocks the
-            // native thread.
+            // Dropping the body releases VM memory, or unwinds a native
+            // program from its pending call.
             p.body = Body::Idle;
             p.pending_syscall = None;
             (
@@ -1311,8 +1310,8 @@ impl World {
         }
     }
 
-    /// Delivers a completed blocked call: write VM registers or send the
-    /// native response, then clear the pending record.
+    /// Delivers a completed blocked call: write VM registers or store the
+    /// native reply, then clear the pending record.
     pub(crate) fn complete_pending(&mut self, mid: MachineId, pid: Pid, ret: SysRetval) {
         let Some(p) = self.proc_mut(mid, pid) else {
             return;
@@ -1330,13 +1329,10 @@ impl World {
                     vmabi::writeback(&mut vm.cpu, &mut vm.mem, &sc, &ret);
                 }
             }
-            Body::Native(chan) => {
-                let _ = chan.resp_tx.send(Response {
-                    val: ret.val,
-                    data: ret.data,
-                    overlaid: false,
-                });
-            }
+            Body::Native(co) => co.reply(Response {
+                val: ret.val,
+                data: ret.data,
+            }),
             Body::Idle => {}
         }
         // The parked call finished outside dispatch (sleep expiry,
@@ -2061,74 +2057,43 @@ impl World {
         }
     }
 
-    /// Services native requests for one scheduling slice.
+    /// Services native requests for one scheduling slice: resumes the
+    /// program on its own stack until it asks for something, serves the
+    /// request, and stores the reply for the next resume.
     fn run_native_quantum(&mut self, mid: MachineId, pid: Pid) {
-        let mut budget = 64u32;
-        while budget > 0 {
-            budget -= 1;
-            // Receive the next request (host-blocking rendezvous) and
-            // keep a response sender that survives a body swap.
-            let (req, resp_tx) = {
+        for _ in 0..64 {
+            let req = {
                 let Some(p) = self.proc_mut(mid, pid) else {
                     return;
                 };
-                let Body::Native(chan) = &p.body else { return };
-                let resp_tx = chan.resp_tx.clone();
-                match chan.req_rx.recv() {
-                    Ok(r) => (r, resp_tx),
-                    Err(_) => {
-                        // Thread gone without an exit request.
-                        self.do_exit(mid, pid, 255);
-                        return;
-                    }
-                }
+                let Body::Native(co) = &mut p.body else { return };
+                co.resume()
+            };
+            let Some(req) = req else {
+                // Finished without an exit request.
+                self.do_exit(mid, pid, 255);
+                return;
             };
             // A little user-level CPU per call (libc and argument
             // marshalling).
             self.machines[mid].charge_user(pid, SimDuration::micros(50));
-            match req {
-                Request::Syscall(sc) => {
-                    let was_overlay_call =
-                        matches!(sc, Syscall::Execve { .. } | Syscall::RestProc { .. });
-                    match dispatch(self, mid, pid, &sc) {
-                        SyscallResult::Done(ret) => {
-                            if resp_tx
-                                .send(Response {
-                                    val: ret.val,
-                                    data: ret.data,
-                                    overlaid: false,
-                                })
-                                .is_err()
-                            {
-                                self.do_exit(mid, pid, 255);
-                                return;
-                            }
-                        }
-                        // dispatch() saved the pending call; the response
-                        // is sent by complete_pending when it finishes.
-                        SyscallResult::Blocked => return,
-                        SyscallResult::Gone => {
-                            if was_overlay_call {
-                                // execve/rest_proc succeeded: the body is
-                                // now a VM image; unwind the old thread.
-                                let _ = resp_tx.send(Response {
-                                    val: Ok(0),
-                                    data: Vec::new(),
-                                    overlaid: true,
-                                });
-                            }
-                            return;
-                        }
-                    }
-                }
+            let resp = match req {
+                Request::Syscall(sc) => match dispatch(self, mid, pid, &sc) {
+                    SyscallResult::Done(ret) => Response {
+                        val: ret.val,
+                        data: ret.data,
+                    },
+                    // dispatch() saved the pending call; complete_pending
+                    // stores the reply when it finishes.
+                    SyscallResult::Blocked => return,
+                    // exit, or a successful execve/rest_proc: dropping
+                    // the old body unwound the program.
+                    SyscallResult::Gone => return,
+                },
                 Request::Compute { units } => {
                     let cpu = SimDuration::micros(units * self.config.cost.instr_us);
                     self.machines[mid].charge_user(pid, cpu);
-                    let _ = resp_tx.send(Response {
-                        val: Ok(0),
-                        data: Vec::new(),
-                        overlaid: false,
-                    });
+                    Response::of(Ok(0))
                 }
                 Request::RunLocal { prog, comm } => {
                     let cred = self
@@ -2147,11 +2112,7 @@ impl World {
                 }
                 Request::Daemon { host, prog, comm } => {
                     let Some(server) = self.find_machine(&host) else {
-                        let _ = resp_tx.send(Response {
-                            val: Err(Errno::EHOSTUNREACH),
-                            data: Vec::new(),
-                            overlaid: false,
-                        });
+                        self.native_reply(mid, pid, Response::of(Err(Errno::EHOSTUNREACH)));
                         continue;
                     };
                     // One message to the daemon's well-known port, plus
@@ -2165,11 +2126,7 @@ impl World {
                         .fault_fire(FaultSite::Rsh, mid, pid, Errno::EHOSTDOWN)
                         .is_some()
                     {
-                        let _ = resp_tx.send(Response {
-                            val: Err(Errno::EHOSTDOWN),
-                            data: Vec::new(),
-                            overlaid: false,
-                        });
+                        self.native_reply(mid, pid, Response::of(Err(Errno::EHOSTDOWN)));
                         continue;
                     }
                     let dispatch = Cost::cpu_us(20_000).plus(Cost::wait_us(100_000));
@@ -2191,11 +2148,7 @@ impl World {
                 }
                 Request::Rsh { host, prog, comm } => {
                     let Some(server) = self.find_machine(&host) else {
-                        let _ = resp_tx.send(Response {
-                            val: Err(Errno::EHOSTUNREACH),
-                            data: Vec::new(),
-                            overlaid: false,
-                        });
+                        self.native_reply(mid, pid, Response::of(Err(Errno::EHOSTUNREACH)));
                         continue;
                     };
                     // Connection establishment, all charged to the
@@ -2221,11 +2174,7 @@ impl World {
                         }
                     }
                     if !session_up {
-                        let _ = resp_tx.send(Response {
-                            val: Err(Errno::EHOSTDOWN),
-                            data: Vec::new(),
-                            overlaid: false,
-                        });
+                        self.native_reply(mid, pid, Response::of(Err(Errno::EHOSTDOWN)));
                         continue;
                     }
                     // The remote side starts no earlier than the client's
@@ -2247,7 +2196,15 @@ impl World {
                     self.remote_wait_register(server, child.as_u32(), mid, pid);
                     return;
                 }
-            }
+            };
+            self.native_reply(mid, pid, resp);
+        }
+    }
+
+    /// Stores the reply a native body's pending request returns.
+    fn native_reply(&mut self, mid: MachineId, pid: Pid, resp: Response) {
+        if let Some(Body::Native(co)) = self.proc_mut(mid, pid).map(|p| &mut p.body) {
+            co.reply(resp);
         }
     }
 
