@@ -101,7 +101,7 @@ impl CoreFile {
 /// written. The dumped bss is folded into initialised data, so the new
 /// header has `a_bss == 0`.
 pub fn undump(executable: &[u8], core: &[u8]) -> Result<Vec<u8>, UndumpError> {
-    let exe: Executable = parse_executable(executable).map_err(UndumpError::Aout)?;
+    let exe: Executable<'_> = parse_executable(executable).map_err(UndumpError::Aout)?;
     let core = CoreFile::decode(core).map_err(UndumpError::Core)?;
     let expected = exe.header.a_data as usize + exe.header.a_bss as usize;
     if core.data.len() != expected {
@@ -111,7 +111,7 @@ pub fn undump(executable: &[u8], core: &[u8]) -> Result<Vec<u8>, UndumpError> {
         });
     }
     Ok(crate::header::encode_executable(
-        &exe.text,
+        exe.text,
         &core.data,
         0,
         exe.header.a_entry,
@@ -181,7 +181,7 @@ mod tests {
 
     fn run_once(file: &[u8]) -> (u32, CoreFile) {
         let exe = parse_executable(file).unwrap();
-        let mut mem = exe.to_memory();
+        let mut mem = m68vm::Memory::new(exe.text, exe.data.to_vec(), exe.header.a_bss);
         let mut cpu = Cpu::at_entry(exe.header.a_entry);
         loop {
             match cpu.step(&mut mem, m68vm::IsaLevel::Isa2) {

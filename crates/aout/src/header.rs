@@ -144,27 +144,22 @@ impl AoutHeader {
     }
 }
 
-/// A fully parsed executable: header plus segment bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Executable {
+/// A fully parsed executable: header plus segment bytes, borrowed from
+/// the file, so a caller copies only the segments it keeps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Executable<'a> {
     /// The validated header.
     pub header: AoutHeader,
     /// Text segment bytes.
-    pub text: Vec<u8>,
+    pub text: &'a [u8],
     /// Initialised data segment bytes.
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
 }
 
-impl Executable {
+impl Executable<'_> {
     /// The ISA level required to run this image.
     pub fn isa(&self) -> IsaLevel {
         self.header.isa().expect("validated at parse time")
-    }
-
-    /// Builds a fresh memory image (data at its dumped values, bss
-    /// zeroed, empty stack).
-    pub fn to_memory(&self) -> m68vm::Memory {
-        m68vm::Memory::new(self.text.clone(), self.data.clone(), self.header.a_bss)
     }
 }
 
@@ -190,7 +185,7 @@ pub fn encode_object(obj: &Object) -> Vec<u8> {
 }
 
 /// Parses and validates a complete a.out file.
-pub fn parse_executable(bytes: &[u8]) -> Result<Executable, AoutError> {
+pub fn parse_executable(bytes: &[u8]) -> Result<Executable<'_>, AoutError> {
     let header = AoutHeader::decode(bytes)?;
     let text_start = AOUT_HEADER_LEN;
     let text_end = text_start + header.a_text as usize;
@@ -198,8 +193,8 @@ pub fn parse_executable(bytes: &[u8]) -> Result<Executable, AoutError> {
     if bytes.len() < data_end {
         return Err(AoutError::Truncated);
     }
-    let text = bytes[text_start..text_end].to_vec();
-    let data = bytes[text_end..data_end].to_vec();
+    let text = &bytes[text_start..text_end];
+    let data = &bytes[text_end..data_end];
     let text_base = m68vm::MemoryLayout::TEXT_BASE;
     if header.a_text > 0
         && (header.a_entry < text_base || header.a_entry >= text_base + header.a_text)
@@ -298,8 +293,9 @@ mod tests {
     fn parsed_executable_runs() {
         use m68vm::{Cpu, IsaLevel, StepEvent};
         let obj = sample();
-        let exe = parse_executable(&encode_object(&obj)).unwrap();
-        let mut mem = exe.to_memory();
+        let file = encode_object(&obj);
+        let exe = parse_executable(&file).unwrap();
+        let mut mem = m68vm::Memory::new(exe.text, exe.data.to_vec(), exe.header.a_bss);
         let mut cpu = Cpu::at_entry(exe.header.a_entry);
         loop {
             match cpu.step(&mut mem, IsaLevel::Isa1) {

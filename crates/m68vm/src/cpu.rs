@@ -318,11 +318,11 @@ impl Cpu {
     pub fn step(&mut self, mem: &mut Memory, level: IsaLevel) -> StepEvent {
         // Fetch up to 12 bytes (the maximum instruction length); an
         // instruction can end exactly at the end of its segment.
-        let window = match mem.read_window(self.pc, 12) {
-            Ok(w) => w,
+        let decoded = match mem.read_window(self.pc, 12) {
+            Ok(window) => decode(&window),
             Err(f) => return StepEvent::Faulted(f),
         };
-        let (instr, ilen) = match decode(window) {
+        let (instr, ilen) = match decoded {
             Ok(x) => x,
             Err(CodecError::BadOpcode(_)) | Err(CodecError::BadMode(_)) => {
                 return StepEvent::Faulted(Fault::IllegalInstruction { pc: self.pc })

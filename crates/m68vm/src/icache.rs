@@ -13,13 +13,23 @@
 //! The ISA-level check normally performed per step is also folded into
 //! the build: a slot holding an instruction above the cache's level
 //! becomes [`Slot::IsaViolation`] up front. A cache is therefore only
-//! valid for one `(text, IsaLevel)` pair; the kernel rebuilds it
-//! whenever either changes (exec, restore, migration to a different
-//! machine model).
+//! valid for one `(text, IsaLevel)` pair.
+//!
+//! Because the build (and the lazy superblock translation on top of it)
+//! is a pure function of that pair, one cache serves every process
+//! running the same text at the same level, on any host and any shard
+//! thread: [`ICache::shared`] interns caches in a process-wide memo of
+//! weak references. Each exec, restore and fork of a program then
+//! shares one text buffer and one cache; the cache is freed when the
+//! last process holding it goes, and its dead memo entry is pruned on
+//! the next insert.
 //!
 //! This is purely a host-side optimisation: the cached path charges the
 //! same `cost_units()` per instruction as the decoding path, so
 //! simulated time is unchanged.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use crate::encode::{decode, CodecError};
 use crate::isa::{Instr, IsaLevel, Op};
@@ -60,6 +70,9 @@ pub enum Slot {
 /// the icache is rebuilt keeps the two coherent by construction.
 pub struct ICache {
     level: IsaLevel,
+    /// The text the slots were decoded from, shared with every image
+    /// built from this cache.
+    text: Arc<[u8]>,
     text_len: u32,
     slots: Vec<Slot>,
     /// Superblock translations, built on first execution of each
@@ -75,6 +88,7 @@ impl Clone for ICache {
     fn clone(&self) -> ICache {
         ICache {
             level: self.level,
+            text: self.text.clone(),
             text_len: self.text_len,
             slots: self.slots.clone(),
             sb: SbCache::new(self.slots.len()),
@@ -93,9 +107,51 @@ impl std::fmt::Debug for ICache {
     }
 }
 
+/// The live shared caches, one map per ISA level (indexed by
+/// `IsaLevel as usize`), keyed by text bytes. A poisoned lock is taken
+/// over as is: a map of weak references is valid after every step of
+/// every update, and a decode that panics has not touched it yet.
+type Memo = [BTreeMap<Arc<[u8]>, Weak<ICache>>; 2];
+
+static MEMO: Mutex<Memo> = Mutex::new([BTreeMap::new(), BTreeMap::new()]);
+
 impl ICache {
-    /// Decodes an entire text segment for execution at `level`.
+    /// The cache for `text` at `level`, shared with every other live
+    /// holder of the same pair; decodes (and copies `text`) only when no
+    /// live cache has it. A text already known at the other level reuses
+    /// that buffer.
+    pub fn shared(text: &[u8], level: IsaLevel) -> Arc<ICache> {
+        let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(cache) = memo[level as usize].get(text).and_then(Weak::upgrade) {
+            return cache;
+        }
+        let buf = memo
+            .iter()
+            .find_map(|m| m.get_key_value(text))
+            .map_or_else(|| Arc::from(text), |(k, _)| k.clone());
+        let cache = Arc::new(ICache::decode(buf.clone(), level));
+        let map = &mut memo[level as usize];
+        map.retain(|_, w| w.strong_count() > 0);
+        map.insert(buf, Arc::downgrade(&cache));
+        cache
+    }
+
+    /// True while some process still holds the shared cache for `text`
+    /// at `level` — false once the last holder has gone.
+    pub fn is_shared(text: &[u8], level: IsaLevel) -> bool {
+        let memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        memo[level as usize]
+            .get(text)
+            .is_some_and(|w| w.strong_count() > 0)
+    }
+
+    /// Decodes an entire text segment for execution at `level`, outside
+    /// the shared memo.
     pub fn build(text: &[u8], level: IsaLevel) -> ICache {
+        ICache::decode(Arc::from(text), level)
+    }
+
+    fn decode(text: Arc<[u8]>, level: IsaLevel) -> ICache {
         let mut slots = Vec::with_capacity(text.len().div_ceil(4));
         for off in (0..text.len()).step_by(4) {
             let window = &text[off..(off + MAX_ILEN).min(text.len())];
@@ -120,9 +176,15 @@ impl ICache {
         ICache {
             level,
             text_len: text.len() as u32,
+            text,
             slots,
             sb,
         }
+    }
+
+    /// The decoded text, for building images that share it.
+    pub fn text(&self) -> &Arc<[u8]> {
+        &self.text
     }
 
     /// The ISA level the cache was validated against (used by the

@@ -2,17 +2,29 @@
 //!
 //! Like a 4.2BSD process, an image has three segments:
 //!
-//! * **text** — read-only instructions, loaded at [`MemoryLayout::TEXT_BASE`];
+//! * **text** — read-only instructions, loaded at [`MemoryLayout::TEXT_BASE`].
+//!   Being immutable, the bytes live in an `Arc<[u8]>` that every image
+//!   of the same program shares (the kernel hands out one buffer per
+//!   distinct text through [`crate::ICache::shared`], like 4.2BSD's text
+//!   table), so a fork or a second exec copies no text;
 //! * **data** — initialised data followed by zeroed bss, page-aligned after
 //!   the text;
-//! * **stack** — a fixed region ending at [`MemoryLayout::STACK_TOP`],
-//!   growing downwards.
+//! * **stack** — a fixed region of [`MemoryLayout::STACK_MAX`] bytes ending
+//!   at [`MemoryLayout::STACK_TOP`], growing downwards. Like a real stack
+//!   segment it is grown on demand: only the touched top pages are
+//!   materialised, everything below them reads as zero, and a write,
+//!   [`Memory::install_page`] or [`Memory::restore_stack`] grows it. The
+//!   materialised size is pure cache — reads, [`Memory::stack_from`],
+//!   [`Memory::page_slice`], `==` and `Debug` all see the logical
+//!   256 KB region.
 //!
 //! Address zero is unmapped so null-pointer dereferences fault, and writes
 //! to text fault, letting the kernel convert both into the appropriate
 //! signals.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::cpu::Fault;
 
@@ -47,20 +59,33 @@ impl MemoryLayout {
     }
 }
 
+const STACK_BASE: u32 = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
+const STACK_MAX: usize = MemoryLayout::STACK_MAX as usize;
+const PAGE: usize = MemoryLayout::PAGE as usize;
+
+/// What [`Memory::page_slice`] returns for a stack page below the
+/// materialised top.
+static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
+
 /// A process memory image.
 ///
 /// Equality deliberately ignores the dirty set: dirty tracking is pure
 /// cache in the Milanés sense — a migration image dumped with tracking
 /// on must be bit-identical to one dumped with it off. The absent set
 /// *is* semantic (a demand-restored image genuinely lacks those pages)
-/// and participates in equality.
-#[derive(Clone, Debug)]
+/// and participates in equality. Equality and `Debug` compare the
+/// logical stack, never how much of it happens to be materialised.
+#[derive(Clone)]
 pub struct Memory {
-    text: Vec<u8>,
+    /// Shared, immutable text.
+    text: Arc<[u8]>,
     /// Initialised data + bss, starting at `data_base`.
     data: Vec<u8>,
     data_base: u32,
-    /// The stack region; index 0 is `STACK_TOP - STACK_MAX`.
+    /// The materialised top of the stack: the last `stack.len()` bytes
+    /// below `STACK_TOP`, always whole pages. Logical stack offset `o`
+    /// (from `STACK_TOP - STACK_MAX`) lives at `stack[o - stack_lo()]`
+    /// when `o >= stack_lo()`; every byte below reads as zero.
     stack: Vec<u8>,
     /// Page-granular write tracking over data + stack, armed only while
     /// a pre-copy migration is watching the image.
@@ -72,20 +97,42 @@ pub struct Memory {
 
 impl PartialEq for Memory {
     fn eq(&self, other: &Memory) -> bool {
+        let (short, long) = if self.stack.len() <= other.stack.len() {
+            (&self.stack, &other.stack)
+        } else {
+            (&other.stack, &self.stack)
+        };
+        let (extra, overlap) = long.split_at(long.len() - short.len());
         self.text == other.text
             && self.data == other.data
             && self.data_base == other.data_base
-            && self.stack == other.stack
+            && overlap == short.as_slice()
+            && extra.iter().all(|&b| b == 0)
             && self.absent == other.absent
     }
 }
 
 impl Eq for Memory {}
 
+impl std::fmt::Debug for Memory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Memory")
+            .field("text", &self.text)
+            .field("data", &self.data)
+            .field("data_base", &self.data_base)
+            .field("stack", &self.stack_span(0, STACK_MAX))
+            .field("dirty", &self.dirty)
+            .field("absent", &self.absent)
+            .finish()
+    }
+}
+
 impl Memory {
     /// Builds an image from a text segment, initialised data and a bss
-    /// size (zero-filled after the data).
-    pub fn new(text: Vec<u8>, data: Vec<u8>, bss_len: u32) -> Memory {
+    /// size (zero-filled after the data). Passing an `Arc<[u8]>` shares
+    /// the text; anything else is copied into a new buffer.
+    pub fn new(text: impl Into<Arc<[u8]>>, data: Vec<u8>, bss_len: u32) -> Memory {
+        let text = text.into();
         let data_base = MemoryLayout::data_base(text.len() as u32);
         let mut data = data;
         data.resize(data.len() + bss_len as usize, 0);
@@ -93,7 +140,7 @@ impl Memory {
             text,
             data,
             data_base,
-            stack: vec![0; MemoryLayout::STACK_MAX as usize],
+            stack: Vec::new(),
             dirty: None,
             absent: BTreeSet::new(),
         }
@@ -101,6 +148,12 @@ impl Memory {
 
     /// The text segment bytes.
     pub fn text(&self) -> &[u8] {
+        &self.text
+    }
+
+    /// The shared text buffer itself, for callers that keep or compare
+    /// it rather than read it.
+    pub fn text_arc(&self) -> &Arc<[u8]> {
         &self.text
     }
 
@@ -116,15 +169,16 @@ impl Memory {
     }
 
     /// The stack bytes from `sp` to the top of the stack, i.e. the live
-    /// stack contents the `stackXXXXX` dump preserves.
+    /// stack contents the `stackXXXXX` dump preserves. Borrowed when
+    /// `sp` lies in the materialised top, which every push guarantees.
     ///
     /// Returns `None` if `sp` lies outside the stack region.
-    pub fn stack_from(&self, sp: u32) -> Option<&[u8]> {
-        let base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        if sp < base || sp > MemoryLayout::STACK_TOP {
+    pub fn stack_from(&self, sp: u32) -> Option<Cow<'_, [u8]>> {
+        if !(STACK_BASE..=MemoryLayout::STACK_TOP).contains(&sp) {
             return None;
         }
-        Some(&self.stack[(sp - base) as usize..])
+        let o = (sp - STACK_BASE) as usize;
+        Some(self.stack_span(o, STACK_MAX - o))
     }
 
     /// Overwrites the live stack so that it holds `contents` ending at the
@@ -132,21 +186,66 @@ impl Memory {
     ///
     /// Fails if `contents` exceeds the stack region.
     pub fn restore_stack(&mut self, contents: &[u8]) -> Option<u32> {
-        if contents.len() > MemoryLayout::STACK_MAX as usize {
+        if contents.len() > STACK_MAX {
             return None;
         }
-        let sp = MemoryLayout::STACK_TOP - contents.len() as u32;
-        let base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        let off = (sp - base) as usize;
-        // Zero the region below the new sp: a restore into a previously
-        // used image (demand restore reuses the live image in place) must
-        // be bit-identical to a restore into a fresh one.
-        self.stack[..off].fill(0);
-        self.stack[off..].copy_from_slice(contents);
-        self.mark_dirty_span(base, MemoryLayout::STACK_MAX as usize);
-        Some(sp)
+        // Materialise just the pages `contents` covers; everything below
+        // reads as zero, so a restore into a previously used image (demand
+        // restore reuses the live image in place) is bit-identical to a
+        // restore into a fresh one.
+        let len = contents.len().next_multiple_of(PAGE);
+        self.stack.clear();
+        self.stack.resize(len - contents.len(), 0);
+        self.stack.extend_from_slice(contents);
+        self.mark_dirty_span(STACK_BASE, STACK_MAX);
+        Some(MemoryLayout::STACK_TOP - contents.len() as u32)
     }
 
+    /// The logical stack offset where the materialised bytes begin.
+    fn stack_lo(&self) -> usize {
+        STACK_MAX - self.stack.len()
+    }
+
+    /// Logical stack bytes `[o, o + n)`, borrowed when materialised.
+    fn stack_span(&self, o: usize, n: usize) -> Cow<'_, [u8]> {
+        let lo = self.stack_lo();
+        if o >= lo {
+            return Cow::Borrowed(&self.stack[o - lo..o - lo + n]);
+        }
+        let mut out = vec![0; n];
+        self.copy_stack(o, &mut out);
+        Cow::Owned(out)
+    }
+
+    /// Copies logical stack bytes `[o, o + out.len())` into `out`.
+    fn copy_stack(&self, o: usize, out: &mut [u8]) {
+        let lo = self.stack_lo();
+        let (zeros, live) = out.split_at_mut(lo.saturating_sub(o).min(out.len()));
+        zeros.fill(0);
+        if !live.is_empty() {
+            let s = o + zeros.len() - lo;
+            live.copy_from_slice(&self.stack[s..s + live.len()]);
+        }
+    }
+
+    /// Logical stack bytes `[o, o + n)` for writing, materialising the
+    /// pages down to `o` first. Growth at least doubles the materialised
+    /// size, so a stack that deepens page by page is copied O(log n)
+    /// times.
+    fn stack_mut(&mut self, o: usize, n: usize) -> &mut [u8] {
+        let lo = self.stack_lo();
+        if o < lo {
+            let want = (STACK_MAX - o)
+                .next_multiple_of(PAGE)
+                .max(2 * self.stack.len())
+                .min(STACK_MAX);
+            let mut grown = vec![0; want];
+            grown[want - self.stack.len()..].copy_from_slice(&self.stack);
+            self.stack = grown;
+        }
+        let lo = self.stack_lo();
+        &mut self.stack[o - lo..o - lo + n]
+    }
     /// Arms page-granular dirty tracking, with every data and stack page
     /// initially dirty (a pre-copy round starts by sending everything).
     pub fn enable_dirty_tracking(&mut self) {
@@ -197,8 +296,7 @@ impl Memory {
             pages.insert(MemoryLayout::page_of(a));
             a += MemoryLayout::PAGE;
         }
-        let base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        let mut a = base;
+        let mut a = STACK_BASE;
         while a < MemoryLayout::STACK_TOP {
             pages.insert(MemoryLayout::page_of(a));
             a += MemoryLayout::PAGE;
@@ -232,10 +330,16 @@ impl Memory {
             let end = (o + MemoryLayout::PAGE as usize).min(self.data.len());
             return Some(&self.data[o..end]);
         }
-        let stack_base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        if base >= stack_base && base < MemoryLayout::STACK_TOP {
-            let o = (base - stack_base) as usize;
-            return Some(&self.stack[o..o + MemoryLayout::PAGE as usize]);
+        if (STACK_BASE..MemoryLayout::STACK_TOP).contains(&base) {
+            // The materialised top is whole pages, so a page is either
+            // all there or all zero.
+            let o = (base - STACK_BASE) as usize;
+            let lo = self.stack_lo();
+            return Some(if o >= lo {
+                &self.stack[o - lo..o - lo + PAGE]
+            } else {
+                &ZERO_PAGE
+            });
         }
         None
     }
@@ -248,7 +352,6 @@ impl Memory {
     pub fn install_page(&mut self, page: u32, bytes: &[u8]) -> bool {
         let base = MemoryLayout::page_addr(page);
         let data_end = self.data_base + self.data.len() as u32;
-        let stack_base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
         let ok = if base >= self.data_base && base < data_end {
             let o = (base - self.data_base) as usize;
             let end = (o + MemoryLayout::PAGE as usize).min(self.data.len());
@@ -258,10 +361,10 @@ impl Memory {
             } else {
                 false
             }
-        } else if base >= stack_base && base < MemoryLayout::STACK_TOP {
-            let o = (base - stack_base) as usize;
-            if bytes.len() == MemoryLayout::PAGE as usize {
-                self.stack[o..o + bytes.len()].copy_from_slice(bytes);
+        } else if (STACK_BASE..MemoryLayout::STACK_TOP).contains(&base) {
+            let o = (base - STACK_BASE) as usize;
+            if bytes.len() == PAGE {
+                self.stack_mut(o, PAGE).copy_from_slice(bytes);
                 true
             } else {
                 false
@@ -327,69 +430,73 @@ impl Memory {
             }
             return Ok(Region::Data((addr - self.data_base) as usize));
         }
-        let stack_base = MemoryLayout::STACK_TOP - MemoryLayout::STACK_MAX;
-        if addr >= stack_base && end <= MemoryLayout::STACK_TOP {
-            return Ok(Region::Stack((addr - stack_base) as usize));
+        if addr >= STACK_BASE && end <= MemoryLayout::STACK_TOP {
+            return Ok(Region::Stack((addr - STACK_BASE) as usize));
         }
         Err(Fault::Unmapped { addr })
     }
 
-    /// Returns the longest readable slice starting at `addr`, up to
-    /// `max` bytes, without copying (used by the instruction fetch).
-    pub fn read_window(&self, addr: u32, max: u32) -> Result<&[u8], Fault> {
-        // Find how many bytes remain in the segment containing `addr`.
-        let (seg, off): (&[u8], usize) = match self.locate(addr, 1)? {
-            Region::Text(o) => (&self.text, o),
-            Region::Data(o) => (&self.data, o),
-            Region::Stack(o) => (&self.stack, o),
-        };
-        let end = (off + max as usize).min(seg.len());
-        Ok(&seg[off..end])
+    /// Returns the longest readable run starting at `addr`, up to `max`
+    /// bytes (used by the instruction fetch). Borrowed except for stack
+    /// bytes below the materialised top.
+    pub fn read_window(&self, addr: u32, max: u32) -> Result<Cow<'_, [u8]>, Fault> {
+        // Clip to the bytes remaining in the segment containing `addr`.
+        let clip = |o: usize, len: usize| (max as usize).min(len - o);
+        Ok(match self.locate(addr, 1)? {
+            Region::Text(o) => Cow::Borrowed(&self.text[o..o + clip(o, self.text.len())]),
+            Region::Data(o) => Cow::Borrowed(&self.data[o..o + clip(o, self.data.len())]),
+            Region::Stack(o) => self.stack_span(o, clip(o, STACK_MAX)),
+        })
     }
 
-    /// Reads `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u32, len: u32) -> Result<&[u8], Fault> {
+    /// Reads `len` bytes starting at `addr`, borrowed except for stack
+    /// bytes below the materialised top.
+    pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Cow<'_, [u8]>, Fault> {
         let n = len as usize;
         Ok(match self.locate(addr, len)? {
-            Region::Text(o) => &self.text[o..o + n],
-            Region::Data(o) => &self.data[o..o + n],
-            Region::Stack(o) => &self.stack[o..o + n],
+            Region::Text(o) => Cow::Borrowed(&self.text[o..o + n]),
+            Region::Data(o) => Cow::Borrowed(&self.data[o..o + n]),
+            Region::Stack(o) => self.stack_span(o, n),
         })
+    }
+
+    /// Reads `N` bytes starting at `addr` into an array — the typed
+    /// reads' path, which never allocates.
+    fn load<const N: usize>(&self, addr: u32) -> Result<[u8; N], Fault> {
+        let mut out = [0; N];
+        match self.locate(addr, N as u32)? {
+            Region::Text(o) => out.copy_from_slice(&self.text[o..o + N]),
+            Region::Data(o) => out.copy_from_slice(&self.data[o..o + N]),
+            Region::Stack(o) => self.copy_stack(o, &mut out),
+        }
+        Ok(out)
     }
 
     /// Writes `bytes` starting at `addr`; text is write-protected.
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Fault> {
         let n = bytes.len();
         match self.locate(addr, n as u32)? {
-            Region::Text(_) => Err(Fault::WriteToText { addr }),
-            Region::Data(o) => {
-                self.data[o..o + n].copy_from_slice(bytes);
-                self.mark_dirty_span(addr, n);
-                Ok(())
-            }
-            Region::Stack(o) => {
-                self.stack[o..o + n].copy_from_slice(bytes);
-                self.mark_dirty_span(addr, n);
-                Ok(())
-            }
+            Region::Text(_) => return Err(Fault::WriteToText { addr }),
+            Region::Data(o) => self.data[o..o + n].copy_from_slice(bytes),
+            Region::Stack(o) => self.stack_mut(o, n).copy_from_slice(bytes),
         }
+        self.mark_dirty_span(addr, n);
+        Ok(())
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u32) -> Result<u8, Fault> {
-        Ok(self.read_bytes(addr, 1)?[0])
+        Ok(self.load::<1>(addr)?[0])
     }
 
     /// Reads a big-endian 16-bit word.
     pub fn read_u16(&self, addr: u32) -> Result<u16, Fault> {
-        let b = self.read_bytes(addr, 2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
+        Ok(u16::from_be_bytes(self.load(addr)?))
     }
 
     /// Reads a big-endian 32-bit word.
     pub fn read_u32(&self, addr: u32) -> Result<u32, Fault> {
-        let b = self.read_bytes(addr, 4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_be_bytes(self.load(addr)?))
     }
 
     /// Writes one byte.
@@ -464,7 +571,7 @@ mod tests {
     fn data_and_bss_read_write() {
         let mut m = mem();
         let d = m.data_base();
-        assert_eq!(m.read_bytes(d, 4).unwrap(), &[1, 2, 3, 4]);
+        assert_eq!(*m.read_bytes(d, 4).unwrap(), [1, 2, 3, 4]);
         assert_eq!(m.read_u8(d + 4).unwrap(), 0); // bss zeroed
         m.write_u32(d + 8, 0xCAFEBABE).unwrap();
         assert_eq!(m.read_u32(d + 8).unwrap(), 0xCAFEBABE);

@@ -224,7 +224,7 @@ pub fn write_core(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
             CoreFile {
                 regs: vm.cpu.to_regs(),
                 data: vm.mem.data().to_vec(),
-                stack: vm.mem.stack_from(vm.cpu.sp()).unwrap_or(&[]).to_vec(),
+                stack: vm.mem.stack_from(vm.cpu.sp()).unwrap_or_default().into_owned(),
             },
             p.user.cred.clone(),
         )
@@ -379,7 +379,7 @@ fn dump_files(w: &mut World, mid: MachineId, pid: Pid) -> SysResult<()> {
         // stackXXXXX: credentials, stack, registers, signal state.
         let stack_file = StackFile {
             cred: p.user.cred.clone(),
-            stack: vm.mem.stack_from(vm.cpu.sp()).unwrap_or(&[]).to_vec(),
+            stack: vm.mem.stack_from(vm.cpu.sp()).unwrap_or_default().into_owned(),
             regs: vm.cpu.to_regs(),
             sigs: p.user.sigs.clone(),
         };

@@ -9,9 +9,11 @@
 //! [`crate::machine::Machine::exec_mig_flag`] and
 //! [`crate::machine::Machine::exec_mig_stack`].
 
+use std::sync::Arc;
+
 use aout::parse_executable;
 use dumpfmt::StackFile;
-use m68vm::Cpu;
+use m68vm::{Cpu, ICache, Memory};
 use simnet::NfsOp;
 use sysdefs::{Access, Errno, Pid, SysResult};
 use vfs::InodeKind;
@@ -78,7 +80,8 @@ fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
     if !cx.machine().isa.supports(isa_required) {
         return Err(Errno::ENOEXEC);
     }
-    let mut mem = exe.to_memory();
+    let (text, icache) = shared_text(cx, exe.text);
+    let mut mem = Memory::new(text, exe.data.to_vec(), exe.header.a_bss);
     let mut cpu = Cpu::at_entry(exe.header.a_entry);
     // The §5.2 modified execve: exact initial stack when the migration
     // flag is set, empty stack otherwise.
@@ -92,16 +95,6 @@ fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
     }
     let c = cx.cost().exec_base();
     cx.charge(c);
-    // Text is write-protected, so decode it once here — at the only
-    // place a VM body is born — rather than on every interpreted step.
-    // The cache is keyed to the hosting machine's ISA level (the level
-    // the live decoder would enforce), not the executable's requirement.
-    let icache = if cx.w.config.use_icache {
-        let level = cx.machine().isa;
-        Some(std::sync::Arc::new(m68vm::ICache::build(mem.text(), level)))
-    } else {
-        None
-    };
     let pid = cx.pid;
     let p = cx.proc_mut().ok_or(Errno::ESRCH)?;
     p.body = Body::Vm(VmBody {
@@ -127,6 +120,22 @@ fn overlay(cx: &mut SysCtx<'_>, image: &[u8], comm: &str) -> SysResult<()> {
     Ok(())
 }
 
+/// The new image's text and its predecoded cache. Text is
+/// write-protected, so it is decoded once per program — here and in
+/// [`overlay_demand`], the only places a VM body is born — rather than
+/// on every interpreted step, and every image of the program shares the
+/// cache's text buffer. The cache is keyed to the hosting machine's ISA
+/// level (the level the live decoder would enforce), not the
+/// executable's requirement. Without the cache the image copies the
+/// text for itself.
+fn shared_text(cx: &SysCtx<'_>, text: &[u8]) -> (Arc<[u8]>, Option<Arc<ICache>>) {
+    if !cx.w.config.use_icache {
+        return (text.into(), None);
+    }
+    let icache = ICache::shared(text, cx.machine().isa);
+    (icache.text().clone(), Some(icache))
+}
+
 /// The demand-restore overlay: read only the a.out header and text
 /// through the namespace (charging just that prefix), leave every data
 /// page absent, and record the dump as the new body's residual source.
@@ -141,24 +150,28 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
     let c = cx.cost().namei(res.components, cold);
     cx.charge(c);
     let fref = res.fref;
-    let node = cx.w.machine(fref.machine).fs.inode(fref.ino)?;
-    let bytes = match &node.kind {
-        InodeKind::Regular(bytes) => {
-            if !node.mode.allows(&cred, node.uid, node.gid, Access::Exec) {
-                return Err(Errno::EACCES);
+    // Parse the file in place: only the text is kept.
+    let (header, isa_required, text, icache) = {
+        let node = cx.w.machine(fref.machine).fs.inode(fref.ino)?;
+        let bytes = match &node.kind {
+            InodeKind::Regular(bytes) => {
+                if !node.mode.allows(&cred, node.uid, node.gid, Access::Exec) {
+                    return Err(Errno::EACCES);
+                }
+                bytes
             }
-            bytes.clone()
+            InodeKind::Directory(_) => return Err(Errno::EISDIR),
+            _ => return Err(Errno::EACCES),
+        };
+        let exe = parse_executable(bytes).map_err(|_| Errno::ENOEXEC)?;
+        if !cx.machine().isa.supports(exe.isa()) {
+            return Err(Errno::ENOEXEC);
         }
-        InodeKind::Directory(_) => return Err(Errno::EISDIR),
-        _ => return Err(Errno::EACCES),
+        let (text, icache) = shared_text(cx, exe.text);
+        (exe.header, exe.isa(), text, icache)
     };
-    let exe = parse_executable(&bytes).map_err(|_| Errno::ENOEXEC)?;
-    let isa_required = exe.isa();
-    if !cx.machine().isa.supports(isa_required) {
-        return Err(Errno::ENOEXEC);
-    }
     // Charge only the header + text prefix; the data stays behind.
-    let prefix = aout::AOUT_HEADER_LEN + exe.text.len();
+    let prefix = aout::AOUT_HEADER_LEN + text.len();
     if fref.machine == mid {
         let c = cx.cost().disk_read(prefix);
         cx.charge(c);
@@ -172,8 +185,8 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
     }
     // The image: real text, a zeroed data segment with every page
     // absent, and the exact migration stack.
-    let data_len = exe.header.a_data + exe.header.a_bss;
-    let mut mem = m68vm::Memory::new(exe.text.clone(), Vec::new(), data_len);
+    let data_len = header.a_data + header.a_bss;
+    let mut mem = Memory::new(text, Vec::new(), data_len);
     let data_base = mem.data_base();
     let pages: Vec<u32> = {
         let mut v = Vec::new();
@@ -185,7 +198,7 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
         v
     };
     mem.set_absent(pages);
-    let mut cpu = Cpu::at_entry(exe.header.a_entry);
+    let mut cpu = Cpu::at_entry(header.a_entry);
     let (mig, stack) = {
         let m = cx.machine();
         (m.exec_mig_flag, m.exec_mig_stack.clone())
@@ -196,12 +209,6 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
     }
     let c = cx.cost().exec_base();
     cx.charge(c);
-    let icache = if cx.w.config.use_icache {
-        let level = cx.machine().isa;
-        Some(std::sync::Arc::new(m68vm::ICache::build(mem.text(), level)))
-    } else {
-        None
-    };
     // The residual source is addressed server-locally, so the page
     // fetches keep working even if this machine's mounts change.
     let local_path = if fref.machine == mid {
@@ -218,12 +225,12 @@ fn overlay_demand(cx: &mut SysCtx<'_>, path: &str, comm: &str) -> SysResult<()> 
         cpu,
         mem,
         isa_required,
-        entry: exe.header.a_entry,
+        entry: header.a_entry,
         icache,
         residual: Some(crate::proc::ResidualSource {
             server: fref.machine,
             aout_path: local_path,
-            data_off: aout::AOUT_HEADER_LEN + exe.text.len(),
+            data_off: prefix,
             tries: 0,
         }),
     });

@@ -551,13 +551,21 @@ impl World {
     /// Reads a file at an absolute local path on `mid` (no symlink
     /// following).
     pub fn host_read_file(&self, mid: MachineId, path: &str) -> SysResult<Vec<u8>> {
+        self.host_read_file_at(mid, path, 0, usize::MAX)
+    }
+
+    /// Reads bytes `[off, off + len)` of a file, clipped to its end, at
+    /// an absolute local path on `mid` (no symlink following).
+    fn host_read_file_at(
+        &self,
+        mid: MachineId,
+        path: &str,
+        off: usize,
+        len: usize,
+    ) -> SysResult<Vec<u8>> {
         let m = &self.machines[mid];
-        let comps = vpath::components(path);
-        match m.fs.walk(m.fs.root(), &comps, None)? {
-            WalkOutcome::Done(ino) => {
-                let len = m.fs.file_len(ino)?;
-                m.fs.read(ino, 0, len as usize)
-            }
+        match m.fs.walk(m.fs.root(), &vpath::components(path), None)? {
+            WalkOutcome::Done(ino) => m.fs.read(ino, off as u64, len),
             _ => Err(Errno::ENOENT),
         }
     }
@@ -693,8 +701,8 @@ impl World {
             return Some(Err(e));
         }
         let off = residual.data_off + page_off;
-        let bytes = match self.host_read_file(residual.server, &residual.aout_path) {
-            Ok(b) if b.len() >= off + len => b[off..off + len].to_vec(),
+        let bytes = match self.host_read_file_at(residual.server, &residual.aout_path, off, len) {
+            Ok(b) if b.len() == len => b,
             Ok(_) => return Some(Err(Errno::EIO)),
             Err(e) => return Some(Err(e)),
         };
@@ -1206,8 +1214,8 @@ impl World {
         let page_off = (m68vm::MemoryLayout::page_addr(page) - data_base) as usize;
         let off = residual.data_off + page_off;
         let len = (m68vm::MemoryLayout::PAGE as usize).min(data_len - page_off);
-        let bytes = match self.host_read_file(residual.server, &residual.aout_path) {
-            Ok(b) if b.len() >= off + len => b[off..off + len].to_vec(),
+        let bytes = match self.host_read_file_at(residual.server, &residual.aout_path, off, len) {
+            Ok(b) if b.len() == len => b,
             _ => {
                 self.kill_residual(mid, pid);
                 return;
