@@ -17,12 +17,12 @@
 //!
 //! Because the build (and the lazy superblock translation on top of it)
 //! is a pure function of that pair, one cache serves every process
-//! running the same text at the same level, on any host and any shard
-//! thread: [`ICache::shared`] interns caches in a process-wide memo of
-//! weak references. Each exec, restore and fork of a program then
-//! shares one text buffer and one cache; the cache is freed when the
-//! last process holding it goes, and its dead memo entry is pruned on
-//! the next insert.
+//! running the same text at the same level, on any host and in any
+//! world, including worlds on other threads: [`ICache::shared`]
+//! interns caches in a process-wide memo of weak references. Each
+//! exec, restore and fork of a program then shares one text buffer and
+//! one cache; the cache is freed when the last process holding it goes,
+//! and its dead memo entry is pruned on the next insert.
 //!
 //! This is purely a host-side optimisation: the cached path charges the
 //! same `cost_units()` per instruction as the decoding path, so

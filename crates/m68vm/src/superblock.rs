@@ -191,9 +191,9 @@ pub(crate) enum SbEntry {
 /// Lazily translated blocks, one cell per 4-byte icache slot.
 ///
 /// `OnceLock` keeps the read path lock-free and the cache shareable
-/// across fork and shard threads through the icache's `Arc`; a racing
-/// double translation is benign because `translate` is a pure function
-/// of the immutable slots.
+/// across fork, and across worlds on other threads, through the
+/// icache's `Arc`; a racing double translation is benign because
+/// `translate` is a pure function of the immutable slots.
 pub(crate) struct SbCache {
     cells: Vec<OnceLock<SbEntry>>,
 }

@@ -22,9 +22,10 @@
 //!   pure-cache in `simlint.toml` with a reason — the Milanés
 //!   exemption, made explicit.
 //! * **Cross-machine coupling.** Syscall handlers must not index a
-//!   foreign machine's state directly; `--coupling-report` inventories
-//!   every such seam (world layer included) for the parallel-sim
-//!   refactor.
+//!   foreign machine's state directly, and outside the world layer a
+//!   foreign machine's `&mut` is taken only through
+//!   `World::cross_call`; `--coupling-report` inventories every such
+//!   seam (world layer included).
 //!
 //! The pass hand-rolls a small Rust lexer and item visitor (no `syn`,
 //! per the offline vendored-stub policy), runs each rule over the lexed

@@ -1,17 +1,17 @@
 //! Rule `coupling`: cross-machine reach-through, flagged and inventoried.
 //!
-//! ROADMAP item 2 (parallel deterministic simulation) will want to step
-//! machines on separate threads; every place one machine's execution
-//! context reaches into another machine's state — or into world-shared
-//! maps — is a seam that `World::run_parallel` must turn into a
-//! message. This module does two jobs with one scan:
+//! Every place one machine's execution context reaches into another
+//! machine's state — or into world-shared maps — is a seam between
+//! machines: the NFS forwarding, `rsh` sessions, migration dumps and
+//! terminal plumbing the paper's installation is made of. This module
+//! does two jobs with one scan:
 //!
 //! * **The lint.** A *syscall handler* (a function in
 //!   `ukernel/src/sys/` whose signature takes `SysCtx`) holds exactly
 //!   one machine's context (`cx.mid`). If its body indexes a
 //!   *different* machine — `machine_mut(dst)`, `proc_mut(other, ..)`,
 //!   `machines[peer]` — it has bypassed the `World` routing layer, and
-//!   the future parallel step would race. Handlers must go through
+//!   the effect is missing from the seam funnel. Handlers must go through
 //!   `World` methods (the remote-exec and signal paths already do).
 //!   This is a hard rule; sanctioned exceptions go in `simlint.toml`.
 //!
@@ -21,8 +21,8 @@
 //!   world layer included — there the coupling is *by design*; the
 //!   point is to enumerate it. The report is checked in at
 //!   `simlint.coupling.json` and `ci.sh` fails when it is stale, so
-//!   the parallel-sim refactor starts from a current map, and growth
-//!   of the seam list shows up in review like any other diff.
+//!   the map stays current, and growth of the seam list shows up in
+//!   review like any other diff.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
@@ -37,8 +37,8 @@ pub const RULE: &str = "coupling";
 const INDEXERS: [&str; 5] = ["machine", "machine_mut", "proc_ref", "proc_mut", "machine_name"];
 
 /// World-owned structures shared across machines: mutating or reading
-/// these from a per-machine step is exactly what a parallel world must
-/// route through messages.
+/// these from a per-machine step couples that machine to the rest of
+/// the installation.
 const SHARED: [&str; 8] = [
     "ether",
     "terminals",
@@ -93,7 +93,7 @@ pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
                         "{} holds one machine's context (SysCtx) but indexes \
                          another machine's state via {callee}({arg}): route \
                          cross-machine effects through a World method so the \
-                         parallel step can turn them into messages",
+                         seam inventory stays complete",
                         item.name
                     ),
                 });

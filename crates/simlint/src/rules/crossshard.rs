@@ -1,24 +1,22 @@
 //! Rule `cross-shard`: foreign `&mut` stays inside the seam layer.
 //!
-//! Sharded execution (`Exec::Parallel`, DESIGN.md §14) moves machines
-//! into per-thread worlds for most of their slices. That is only sound
-//! because every cross-machine *mutation* funnels through the world's
-//! seam layer (`crates/ukernel/src/world/`): `World::cross_call` for
-//! foreign-filesystem effects, the `poke_*` hooks (which queue a
-//! `CrossEffect` when the target is not resident) for wakes. A handler
-//! that takes a foreign machine's `&mut` directly — `fs_mut(host)`,
-//! `machine_mut(dst)`, `proc_mut(other, pid)`, `machines[peer]` —
-//! bypasses the funnel: under a shard it panics on the vacated slot at
-//! best and races at worst.
+//! The invariant: outside `crates/ukernel/src/world/`, a foreign
+//! machine's `&mut` is taken only through `World::cross_call`. Every
+//! cross-machine *mutation* funnels through the world's seam layer:
+//! `World::cross_call` for foreign-filesystem effects, the `poke_*`
+//! hooks for wakes. That keeps the coupling inventory
+//! (`simlint.coupling.json`) a complete list of the places one machine
+//! writes another's state. A handler that takes a foreign machine's
+//! `&mut` directly — `fs_mut(host)`, `machine_mut(dst)`,
+//! `proc_mut(other, pid)`, `machines[peer]` — bypasses the funnel, and
+//! its effect appears nowhere that names cross-machine writes.
 //!
 //! The `coupling` rule already polices *syscall handlers* and
 //! inventories reads; this rule is the mutation ratchet for the whole
 //! kernel crate: outside `src/world/`, a machine-id-indexed mutable
 //! accessor whose argument is not the context's own `mid` is a
-//! violation. Reads (`machine(dst)`, `proc_ref`) stay legal — shards
-//! never export a machine whose state someone else may read
-//! mid-window, so reads only happen in the serial phase where they
-//! are safe.
+//! violation. Reads (`machine(dst)`, `proc_ref`) stay legal; the
+//! coupling report lists them.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
@@ -58,8 +56,8 @@ pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
                     message: format!(
                         "{} takes a foreign machine's `&mut` via {callee}({arg}) \
                          outside the seam layer: route the mutation through \
-                         World::cross_call (or a poke hook) so sharded \
-                         execution can order it",
+                         World::cross_call (or a poke hook) so every \
+                         cross-machine write stays in one place",
                         item.name
                     ),
                 });

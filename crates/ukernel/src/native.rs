@@ -28,9 +28,9 @@
 //!
 //! The transport's safety rests on these invariants (DESIGN.md §2):
 //! a body is only resumed through `&mut Native`, so by whoever holds it
-//! mutably; machines hosting native bodies are always coupled, so shard
-//! threads never step them; every stack has a guard page below it; and
-//! only x86_64 is supported.
+//! mutably; a body is not `Send`, so its world stays on the one thread
+//! that steps it; every stack has a guard page below it; and only
+//! x86_64 is supported.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -159,16 +159,6 @@ pub struct Native {
     /// `None` only while `drop` hands it back to the pool.
     stack: Option<Stack>,
 }
-
-// SAFETY: `stack` is a mapping this body owns alone, and `link` points
-// into it. The link holds the `Send` program, requests and replies
-// (plain data and `Send` programs) and cells no one else reaches: the
-// only other pointer to it is the `Sys` on the coroutine's own stack,
-// which also holds nothing but the program's frames and those of `Sys`
-// methods. So moving a suspended body to another thread moves nothing
-// bound to the old one, and dropping it there unwinds it there.
-// Resuming needs `&mut Native`, so two threads never run it at once.
-unsafe impl Send for Native {}
 
 impl Native {
     /// Wraps `prog` in a coroutine that has not started yet; it runs

@@ -142,7 +142,6 @@ fn open_common(
             let parent = namei(cx.w, mid, &cred, cwd, &parent_arg, FollowLast::Yes)?;
             charge_namei(cx, &parent, &format!("{cache_key}#parent"))?;
             let ret = cx.w.cross_call(
-                mid,
                 parent.fref.machine,
                 &cred,
                 CrossCall::FsCreate {
@@ -205,8 +204,7 @@ fn open_common(
 
     if flags.trunc() && !created {
         if let FileKind::Local(ino) | FileKind::Remote { ino, .. } = kind {
-            cx.w
-                .cross_call(mid, fref.machine, &cred, CrossCall::FsTruncate { ino })?;
+            cx.w.cross_call(fref.machine, &cred, CrossCall::FsTruncate { ino })?;
             if fref.machine != mid {
                 cx.charge_rpc(NfsOp::Setattr)?;
             }
@@ -489,13 +487,12 @@ pub fn sys_write(cx: &mut SysCtx<'_>, fd: usize, bytes: &[u8]) -> SyscallResult 
                 Ok(c) => c,
                 Err(e) => return done(Err(e)),
             };
-            let mid = cx.mid;
             let call = CrossCall::FsWrite {
                 ino,
                 off,
                 bytes: bytes.to_vec(),
             };
-            match cx.w.cross_call(mid, host, &cred, call) {
+            match cx.w.cross_call(host, &cred, call) {
                 Ok(CrossRet::Len(n)) => {
                     // A dropped reply after the server applied the write:
                     // the data landed but the client sees ETIMEDOUT and
@@ -786,7 +783,6 @@ pub fn sys_unlink(cx: &mut SysCtx<'_>, arg: &str) -> SyscallResult {
         let cache_key = format!("{mid}:{}:{}:{arg}#unlink", cwd.machine, cwd.ino);
         charge_namei(cx, &parent, &cache_key)?;
         cx.w.cross_call(
-            mid,
             parent.fref.machine,
             &cred,
             CrossCall::FsUnlink {
@@ -817,7 +813,6 @@ pub fn sys_link(cx: &mut SysCtx<'_>, old: &str, new: &str) -> SyscallResult {
         }
         charge_namei(cx, &target, &format!("{mid}:link:{old}"))?;
         cx.w.cross_call(
-            mid,
             parent.fref.machine,
             &cred,
             CrossCall::FsLink {
@@ -842,7 +837,6 @@ pub fn sys_symlink(cx: &mut SysCtx<'_>, target: &str, link: &str) -> SyscallResu
         let parent = namei(cx.w, mid, &cred, cwd, &parent_arg, FollowLast::Yes)?;
         charge_namei(cx, &parent, &format!("{mid}:symlink:{link}"))?;
         cx.w.cross_call(
-            mid,
             parent.fref.machine,
             &cred,
             CrossCall::FsSymlink {
@@ -888,7 +882,6 @@ pub fn sys_mkdir(cx: &mut SysCtx<'_>, arg: &str, mode: u16) -> SyscallResult {
         let parent = namei(cx.w, mid, &cred, cwd, &parent_arg, FollowLast::Yes)?;
         charge_namei(cx, &parent, &format!("{mid}:mkdir:{arg}"))?;
         cx.w.cross_call(
-            mid,
             parent.fref.machine,
             &cred,
             CrossCall::FsMkdir {

@@ -1,50 +1,20 @@
-//! The seam layer: every cross-machine effect, named and ordered.
+//! The seam layer: the named funnel for foreign-filesystem effects.
 //!
-//! Sharded execution (`Exec::Parallel`, see [`super::shard`]) only works
-//! because machines interact through a small set of explicit seams — the
-//! NFS calls, `rsh` sessions, migration dumps and terminal plumbing the
-//! PR-6 coupling inventory (`simlint.coupling.json`) catalogued. This
-//! module makes those seams first-class:
-//!
-//! * [`CrossCall`] — a foreign-filesystem mutation a syscall handler
-//!   wants performed on a server machine. Handlers no longer index a
-//!   foreign machine's `&mut` state directly; they send a `CrossCall`
-//!   through [`World::cross_call`], the single funnel (and the only
-//!   place outside this directory allowed to take a foreign `&mut`,
-//!   enforced by simlint's `cross-shard` rule).
-//! * [`CrossEffect`] — a wake-up whose target machine is not resident
-//!   in the executing world (a shard poking across its boundary). These
-//!   are queued, not applied, and the coordinator delivers them in
-//!   [`SeamKey`] order, so delivery order never depends on host thread
-//!   timing.
-//! * [`crossing`] — the classifier the shard gate uses to decide, at
-//!   dispatch time and without touching any foreign machine, whether a
-//!   syscall would reach across the shard boundary.
+//! Machines interact through a small set of explicit seams — the NFS
+//! calls, `rsh` sessions, migration dumps and terminal plumbing that
+//! the coupling inventory (`simlint.coupling.json`) catalogues. The
+//! foreign-filesystem mutations among them are first-class here:
+//! [`CrossCall`] names one, and [`World::cross_call`] performs it.
+//! Outside `src/world/`, a foreign machine's `&mut` state is taken
+//! only through `cross_call`, which simlint's `cross-shard` rule
+//! enforces, so every cross-machine write a handler makes is listed in
+//! one enum and performed in one function.
 
-use simtime::SimTime;
-use sysdefs::{Credentials, FileMode, Pid, SysResult};
-use vfs::{DeviceId, Ino};
+use sysdefs::{Credentials, FileMode, SysResult};
+use vfs::Ino;
 
-use crate::file::FileKind;
 use crate::machine::MachineId;
-use crate::namei;
-use sysdefs::Signal;
-use crate::sys::args::Syscall;
 use crate::world::World;
-
-/// Deterministic delivery order for cross-machine effects:
-/// simulated time first, then source machine, then per-world sequence
-/// number. Two effects can never tie — `seq` is unique — so delivery
-/// order is a total order independent of host scheduling.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SeamKey {
-    /// Simulated time the effect was emitted (the source's clock).
-    pub time: SimTime,
-    /// The machine whose slice emitted the effect.
-    pub src: MachineId,
-    /// Emission sequence within the emitting world.
-    pub seq: u64,
-}
 
 /// A foreign-filesystem mutation, routed through [`World::cross_call`]
 /// instead of a direct `&mut machines[server]` reach from a syscall
@@ -123,153 +93,19 @@ pub enum CrossRet {
     Unit,
 }
 
-/// A wake-up aimed at a machine that is not resident in the executing
-/// world. Shards queue these instead of panicking on the missing slot;
-/// the coordinator applies them in [`SeamKey`] order after the merge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrossEffect {
-    /// Re-evaluate one blocked process ([`World::poke_proc`]).
-    Poke {
-        /// Target machine.
-        mid: MachineId,
-        /// Target process.
-        pid: u32,
-    },
-    /// Re-evaluate every waiter of a terminal ([`World::poke_tty`]).
-    TtyPoke {
-        /// The terminal.
-        tty: u32,
-    },
-    /// Waiters of remote process `(server, pid)` can complete
-    /// ([`World::poke_remote_done`]).
-    RemoteDone {
-        /// The serving machine.
-        server: MachineId,
-        /// The finished/overlaid pid on it.
-        pid: u32,
-    },
-}
-
-/// An ordered queue of [`CrossEffect`]s keyed by [`SeamKey`]. Pushing
-/// assigns the next sequence number; draining yields key order.
-#[derive(Debug, Default)]
-pub struct SeamQueue {
-    q: std::collections::BTreeMap<SeamKey, CrossEffect>,
-    next_seq: u64,
-}
-
-impl SeamQueue {
-    /// An empty queue.
-    pub fn new() -> SeamQueue {
-        SeamQueue::default()
-    }
-
-    /// Queues an effect emitted by `src` at `time`, returning its key.
-    pub fn push(&mut self, time: SimTime, src: MachineId, effect: CrossEffect) -> SeamKey {
-        let key = SeamKey {
-            time,
-            src,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
-        self.q.insert(key, effect);
-        key
-    }
-
-    /// Takes every queued effect in delivery order.
-    pub fn drain(&mut self) -> Vec<(SeamKey, CrossEffect)> {
-        std::mem::take(&mut self.q).into_iter().collect()
-    }
-
-    /// Whether anything is queued.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    /// Queued effect count.
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-}
-
-/// Would dispatching `sc` for `(mid, pid)` reach another machine (or a
-/// globally-ordered resource like the fault plan)? Evaluated *without
-/// touching any foreign machine*, so a shard can ask it safely; `Some`
-/// names the machine the call would reach (`mid` itself for calls that
-/// merely need global serialisation, like `SIGDUMP` delivery).
-///
-/// The classification is conservative: `Some` for a call that would
-/// have stayed local only costs a round through the coordinator's
-/// serial phase, while a missed crossing would corrupt the run — so
-/// every doubt resolves to `Some`.
-pub(crate) fn crossing(w: &World, mid: MachineId, pid: Pid, sc: &Syscall) -> Option<MachineId> {
-    let p = w.proc_ref(mid, pid)?;
-    let cred = p.user.cred.clone();
-    let cwd = p.user.cwd;
-    // A path resolution that would jump into a remote mount (or start
-    // from a remote cwd) crosses; a purely local walk — including one
-    // that fails locally — does not.
-    let probe = |path: &str| namei::foreign_target(w, mid, &cred, cwd, path);
-    // An open descriptor crosses when it points at a remote inode or at
-    // a terminal this machine does not own (remote-pipe terminals have
-    // no owner and always cross).
-    let fd_probe = |fd: usize| -> Option<MachineId> {
-        let idx = p.user.fds.get(fd).copied().flatten()?;
-        match &w.machine(mid).files.get(idx)?.kind {
-            FileKind::Remote { host, .. } => Some(*host),
-            FileKind::Device(DeviceId::Tty(tty)) => match w.tty_owner(*tty) {
-                Some(owner) if owner == mid => None,
-                Some(owner) => Some(owner),
-                None => Some(mid),
-            },
-            _ => None,
-        }
-    };
-    match sc {
-        Syscall::Open { path, .. }
-        | Syscall::Creat { path, .. }
-        | Syscall::Chdir { path }
-        | Syscall::Stat { path }
-        | Syscall::Unlink { path }
-        | Syscall::Readlink { path, .. }
-        | Syscall::Mkdir { path, .. }
-        | Syscall::Execve { path } => probe(path),
-        Syscall::Link { old, new } => probe(old).or_else(|| probe(new)),
-        Syscall::Symlink { link, .. } => probe(link),
-        Syscall::Read { fd, .. }
-        | Syscall::Write { fd, .. }
-        | Syscall::Lseek { fd, .. }
-        | Syscall::Ioctl { fd, .. } => fd_probe(*fd),
-        // SIGDUMP delivery writes dump files under fault-plan sites
-        // whose counters are globally ordered; posting it must happen
-        // in the serial phase even when the target is local.
-        Syscall::Kill { sig, .. } if *sig == Signal::SIGDUMP.number() => Some(mid),
-        // rest_proc touches the world-shared `overlaid` map and wakes
-        // remote waiters; always a seam.
-        Syscall::RestProc { .. } => Some(mid),
-        _ => None,
-    }
-}
-
 impl World {
-    /// Executes one foreign-filesystem mutation on `server` on behalf of
-    /// a handler running on `src` — the single place a system-call
-    /// handler's effect is allowed to touch another machine's mutable
-    /// state. `server == src` degenerates to the local filesystem (same
-    /// funnel, no seam). Charging stays with the caller: the handler
-    /// prices the RPC exactly as before.
+    /// Executes one filesystem mutation on `server` on behalf of a
+    /// system-call handler — the single place a handler's effect is
+    /// allowed to touch another machine's mutable state. A handler whose
+    /// path resolved locally passes its own machine and goes through the
+    /// same funnel. Charging stays with the caller: the handler prices
+    /// the RPC.
     pub fn cross_call(
         &mut self,
-        src: MachineId,
         server: MachineId,
         cred: &Credentials,
         call: CrossCall,
     ) -> SysResult<CrossRet> {
-        debug_assert!(
-            !self.shard_gate || server == src,
-            "cross_call from {src} reached machine {server} inside a shard \
-             (the gate should have staged this syscall)"
-        );
         let fs = self.fs_mut(server);
         match call {
             CrossCall::FsCreate { parent, name, mode } => {
@@ -310,79 +146,5 @@ impl World {
                 Ok(CrossRet::Unit)
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use simtime::SimDuration;
-
-    fn t(us: u64) -> SimTime {
-        SimTime::BOOT + SimDuration::micros(us)
-    }
-
-    #[test]
-    fn seam_key_orders_time_then_src_then_seq() {
-        let a = SeamKey {
-            time: t(10),
-            src: 5,
-            seq: 9,
-        };
-        let b = SeamKey {
-            time: t(11),
-            src: 0,
-            seq: 0,
-        };
-        assert!(a < b, "time dominates");
-        let c = SeamKey {
-            time: t(10),
-            src: 6,
-            seq: 0,
-        };
-        assert!(a < c, "src breaks time ties");
-        let d = SeamKey {
-            time: t(10),
-            src: 5,
-            seq: 10,
-        };
-        assert!(a < d, "seq breaks (time, src) ties");
-    }
-
-    #[test]
-    fn seam_queue_drains_in_key_order_not_push_order() {
-        let mut q = SeamQueue::new();
-        // Pushed out of time order and out of src order: drain must
-        // come back sorted by (time, src, seq) — the serial oracle's
-        // delivery order.
-        q.push(t(30), 1, CrossEffect::TtyPoke { tty: 3 });
-        q.push(t(10), 7, CrossEffect::Poke { mid: 2, pid: 4 });
-        q.push(
-            t(10),
-            2,
-            CrossEffect::RemoteDone { server: 0, pid: 9 },
-        );
-        q.push(t(10), 2, CrossEffect::Poke { mid: 1, pid: 1 });
-        assert_eq!(q.len(), 4);
-        let drained = q.drain();
-        assert!(q.is_empty());
-        let order: Vec<(SimTime, MachineId)> =
-            drained.iter().map(|(k, _)| (k.time, k.src)).collect();
-        assert_eq!(order, vec![(t(10), 2), (t(10), 2), (t(10), 7), (t(30), 1)]);
-        // Same (time, src): push order (seq) decides.
-        assert_eq!(
-            drained[0].1,
-            CrossEffect::RemoteDone { server: 0, pid: 9 }
-        );
-        assert_eq!(drained[1].1, CrossEffect::Poke { mid: 1, pid: 1 });
-    }
-
-    #[test]
-    fn seam_keys_are_unique_across_pushes() {
-        let mut q = SeamQueue::new();
-        let k1 = q.push(t(5), 0, CrossEffect::TtyPoke { tty: 0 });
-        let k2 = q.push(t(5), 0, CrossEffect::TtyPoke { tty: 0 });
-        assert_ne!(k1, k2);
-        assert_eq!(q.len(), 2, "identical effects never collide");
     }
 }

@@ -1,12 +1,13 @@
 //! Source-level audit: driver code stays on the World API.
 //!
-//! The sharded engine (`world/shard.rs`) is only sound if every
-//! cross-machine effect flows through the seam layer, and the seam
-//! layer can only account for effects that enter through the `World`
-//! methods. A driver that grabs `machine_mut(..)` or pokes a process
-//! directly mutates shard-resident state behind the window
-//! bookkeeping's back — the 1-vs-N oracle would still catch the
-//! divergence, but hours later and far from the cause.
+//! Every cross-machine effect enters the kernel through a `World`
+//! method — the seam layer (`World::cross_call`) for foreign
+//! filesystems, the `poke_*` hooks for wakes — so the coupling
+//! inventory (`simlint.coupling.json`) is complete and the event
+//! scheduler sees every wake. A driver that grabs `machine_mut(..)` or
+//! pokes a process directly mutates machine state behind that
+//! bookkeeping's back: a missed wake stalls a process that the
+//! event≡scan oracle would only catch later and far from the cause.
 //!
 //! simlint's `cross-shard` rule polices the kernel crate itself; this
 //! test extends the same contract to the out-of-crate drivers (the

@@ -1,7 +1,8 @@
 //! Shape assertions for every figure in the paper's evaluation: who
 //! wins, by roughly what factor. Exact simulated numbers are recorded in
 //! EXPERIMENTS.md; these bands keep the reproduction honest as the code
-//! evolves.
+//! evolves, and the Figure 4 and A1 tables there are checked against
+//! the scenarios exactly, so they cannot drift from the binary.
 
 #[test]
 fn figure1_modified_syscall_overhead_band() {
@@ -167,4 +168,73 @@ fn ablation_fixed_name_strings_waste_memory() {
         fixed.peak_bytes,
         dynamic.peak_bytes
     );
+}
+
+/// The table rows of EXPERIMENTS.md under `heading`, up to the next
+/// heading: one vector of trimmed cells per row, `**` emphasis
+/// removed, the `|---|` separator skipped.
+fn experiments_rows(heading: &str) -> Vec<Vec<String>> {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let start = doc
+        .find(heading)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no {heading:?} section"));
+    let body = &doc[start + heading.len()..];
+    let body = &body[..body.find("\n#").unwrap_or(body.len())];
+    body.lines()
+        .filter(|l| l.starts_with('|') && !l.starts_with("|---"))
+        .map(|l| {
+            l.trim_matches('|')
+                .split('|')
+                .map(|c| c.replace("**", "").trim().to_string())
+                .collect()
+        })
+        .collect()
+}
+
+/// The documented row whose first cell is `case`, exactly once.
+fn doc_row<'a>(rows: &'a [Vec<String>], case: &str) -> &'a [String] {
+    let hits: Vec<&Vec<String>> = rows.iter().filter(|r| r[0] == case).collect();
+    assert_eq!(hits.len(), 1, "EXPERIMENTS.md must have one {case:?} row");
+    hits[0]
+}
+
+/// Simulated time is deterministic, so the Figure 4 table in
+/// EXPERIMENTS.md must show exactly what `figures fig4` prints: real
+/// time to the millisecond and the ratio to two decimals.
+#[test]
+fn experiments_md_figure4_table_is_current() {
+    let rows = experiments_rows("## Figure 4");
+    let fig = bench::fig4();
+    assert_eq!(rows.len(), fig.len() + 1, "header plus one row per case");
+    for r in &fig {
+        let doc = doc_row(&rows, &r.case);
+        assert_eq!(
+            doc[1],
+            format!("{:.0} ms", r.real_ms),
+            "{} real time",
+            r.case
+        );
+        assert_eq!(doc[2], format!("{:.2}", r.ratio), "{} ratio", r.case);
+    }
+}
+
+/// The same freshness check for the A1 transport table.
+#[test]
+fn experiments_md_daemon_table_is_current() {
+    let rows = experiments_rows("### A1");
+    let ablation = bench::ablation_daemon();
+    assert_eq!(
+        rows.len(),
+        ablation.len() + 1,
+        "header plus one row per transport"
+    );
+    for r in &ablation {
+        let doc = doc_row(&rows, &r.transport);
+        assert_eq!(
+            doc[1],
+            format!("{:.0} ms", r.real_ms),
+            "{} real time",
+            r.transport
+        );
+    }
 }
